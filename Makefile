@@ -7,7 +7,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test bench bench-ckpt bench-parallel bench-restore bench-replication bench-scale bench-lazy bench-policy scenarios check vet race fuzz chaos chaos-incremental chaos-replication chaos-sharded chaos-lazy chaos-policy
+.PHONY: all build test perfbench-build bench bench-ckpt bench-parallel bench-restore bench-replication bench-scale bench-lazy bench-policy scenarios check vet race fuzz chaos chaos-incremental chaos-replication chaos-sharded chaos-lazy chaos-policy
 
 all: build test
 
@@ -84,6 +84,12 @@ scenarios:
 vet:
 	$(GO) vet ./...
 
+# perfbench/ is its own Go module, so `go build ./...` never compiles it;
+# build and vet it here so an internal API change cannot break the
+# benchmark unnoticed.
+perfbench-build:
+	cd perfbench && $(GO) vet . && $(GO) build -o /dev/null .
+
 race:
 	$(GO) test -race ./...
 
@@ -94,6 +100,7 @@ fuzz:
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzImageDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzImageRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/erasure -run '^$$' -fuzz '^FuzzErasureRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/chaos -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME)
 
 # The nightly chaos sweep (10k seeds); failing seeds print shrunken
 # chaos.Replay reproducer lines and fail the target.
@@ -140,4 +147,4 @@ chaos-lazy:
 chaos-policy:
 	$(GO) run ./cmd/crsurvey chaos -seeds 80 -policy
 
-check: build vet race fuzz scenarios chaos-replication chaos-sharded chaos-lazy chaos-policy bench-policy
+check: build vet perfbench-build race fuzz scenarios chaos-replication chaos-sharded chaos-lazy chaos-policy bench-policy

@@ -39,7 +39,7 @@ func (*workLostChecker) Finish(a *Audit) []Violation {
 	if a.Spec.Policy != "youngdaly" || a.Sup == nil {
 		return nil
 	}
-	snap := a.Sup.Metrics.Hist("policy.work_lost").Snapshot()
+	snap := a.Sup.Metrics().Hist("policy.work_lost").Snapshot()
 	got := snap.Mean * float64(snap.N)
 
 	twin := a.Spec.Clone()

@@ -136,16 +136,16 @@ func RunChecked(sp *Spec, checkers []Checker) *Result {
 		NoFencing:    sp.NoFencing,
 		Pipeline:     sp.pipelineConfig(),
 		Replication:  sp.replicationConfig(),
+		OnEvent: func(ev cluster.Event) {
+			for _, ck := range checkers {
+				ck.Event(ev)
+			}
+		},
 	})
 	if err != nil {
 		// A generated scenario that the supervisor itself rejects is a
 		// spec-level violation, not a crash.
 		return &Result{Spec: sp, Violations: []Violation{{Invariant: "spec", Detail: err.Error()}}}
-	}
-	sup.OnEvent = func(ev cluster.Event) {
-		for _, ck := range checkers {
-			ck.Event(ev)
-		}
 	}
 
 	// Drive the supervisor, relaunching after terminal aborts (it gives
@@ -196,7 +196,7 @@ func RunChecked(sp *Spec, checkers []Checker) *Result {
 	if runErr != nil {
 		res.Aborted = runErr.Error()
 	}
-	res.WorkLost = sup.Metrics.Hist("policy.work_lost").Snapshot()
+	res.WorkLost = sup.Metrics().Hist("policy.work_lost").Snapshot()
 	for _, ck := range checkers {
 		res.Violations = append(res.Violations, ck.Finish(audit)...)
 	}

@@ -8,13 +8,13 @@
 // is exactly how a split brain forms, and exactly what the fenced target
 // defuses.
 //
-// With Supervisor.Incremental set the agent ships delta chains instead
-// of full images: it arms one dirty-page tracker per incarnation, sends
-// only the ranges written since the previous checkpoint (chained onto
-// it), and every rebaseEvery-th round publishes a fresh full image that
-// bounds the chain — at which point everything the new full supersedes
-// is garbage-collected through the same fenced target the publishes go
-// through.
+// With SupervisorConfig.Incremental set the agent ships delta chains
+// instead of full images: it arms one dirty-page tracker per
+// incarnation, sends only the ranges written since the previous
+// checkpoint (chained onto it), and every RebaseEvery-th round publishes
+// a fresh full image that bounds the chain — at which point everything
+// the new full supersedes is garbage-collected through the same fenced
+// target the publishes go through.
 
 package cluster
 
@@ -45,7 +45,7 @@ type ckptAgent struct {
 	trk   *checkpoint.CarryTracker
 	acked int
 
-	// Pipelined-shipping state (Supervisor.Pipeline non-nil): the
+	// Pipelined-shipping state (SupervisorConfig.Pipeline non-nil): the
 	// bounded FIFO of encoded images on their way to the server, and the
 	// flag a ship failure raises so the next capture re-anchors the
 	// chain with a full image (see pipeline.go).
@@ -58,7 +58,7 @@ type ckptAgent struct {
 func (s *Supervisor) armAgent(node int, pid proc.PID, epoch uint64) {
 	s.agents = append(s.agents, &ckptAgent{
 		s: s, node: node, pid: pid, epoch: epoch,
-		nextAt: s.C.Now().Add(s.agentInterval()),
+		nextAt: s.cfg.C.Now().Add(s.agentInterval()),
 	})
 }
 
@@ -93,7 +93,7 @@ func (a *ckptAgent) stop() {
 		a.trk = nil
 	}
 	if n := a.queuedImages(); n > 0 {
-		a.s.Counters.Inc("pipe.dropped", int64(n))
+		a.s.Counters().Inc("pipe.dropped", int64(n))
 		a.ship = nil
 	}
 }
@@ -103,7 +103,7 @@ func (a *ckptAgent) stop() {
 // retire the agent — the split brain ends here, with zero double
 // commits.
 func (a *ckptAgent) selfFence(n *Node, p *proc.Process) {
-	a.s.Counters.Inc("fence.suicides", 1)
+	a.s.Counters().Inc("fence.suicides", 1)
 	a.s.emit(EvSelfFence, a.node, a.epoch, "")
 	if p != nil {
 		if p.State != proc.StateZombie {
@@ -119,14 +119,14 @@ func (a *ckptAgent) pump() {
 	if a.stopped {
 		return
 	}
-	c := a.s.C
+	c := a.s.cfg.C
 	// Node-local code executes only on a live machine. This is fidelity,
 	// not an oracle: a dead node's daemon is simply not running.
 	if !c.NodeAlive(a.node) {
 		return
 	}
 	n := c.Node(a.node)
-	if a.s.Pipeline != nil {
+	if a.s.cfg.Pipeline != nil {
 		// Transfers progress on every pump, not just capture rounds —
 		// that is the overlap the pipeline exists for.
 		a.advanceShip(n)
@@ -162,10 +162,10 @@ func (a *ckptAgent) pump() {
 	}
 	m, err := a.s.mech(a.node)
 	if err != nil {
-		a.s.Counters.Inc("agent.mech_failed", 1)
+		a.s.Counters().Inc("agent.mech_failed", 1)
 		return
 	}
-	if a.s.Pipeline != nil {
+	if a.s.cfg.Pipeline != nil {
 		a.pipelineRound(m, n, p)
 		return
 	}
@@ -177,7 +177,7 @@ func (a *ckptAgent) pump() {
 			a.selfFence(n, p)
 			return
 		}
-		a.s.Counters.Inc("agent.ckpt_failed", 1)
+		a.s.Counters().Inc("agent.ckpt_failed", 1)
 		return // transient storage trouble: try again next interval
 	}
 	a.acked++
@@ -186,13 +186,13 @@ func (a *ckptAgent) pump() {
 		// no longer needs carrying into the next delta.
 		a.trk.Commit()
 	}
-	if a.epoch == a.s.Fence.Epoch() {
+	if a.epoch == a.s.fence.Epoch() {
 		a.s.noteAck(a, tk, tgt)
 	} else {
 		// A stale writer slipped a commit past the (disabled) fence:
 		// this is a split-brain double commit, and it may have replaced
 		// the live incarnation's image under the same object name.
-		a.s.Counters.Inc("fence.double_commits", 1)
+		a.s.Counters().Inc("fence.double_commits", 1)
 		a.s.emit(EvStaleCommit, a.node, a.epoch, tk.Img.ObjectName())
 	}
 }
@@ -200,11 +200,11 @@ func (a *ckptAgent) pump() {
 // capture takes one checkpoint: a full image through the mechanism's
 // plain path, or — with incremental shipping on and a capable mechanism
 // — a tracker-driven delta chained onto the previous capture, rebased
-// to a fresh full image every rebaseEvery rounds.
+// to a fresh full image every RebaseEvery rounds.
 func (a *ckptAgent) capture(m mechanism.Mechanism, n *Node, p *proc.Process, tgt storage.Target) (*mechanism.Ticket, error) {
 	dr, ok := m.(mechanism.DeltaRequester)
-	if !a.s.Incremental || !ok {
-		if ok && a.s.Replication != nil {
+	if !a.s.cfg.Incremental || !ok {
+		if ok && a.s.cfg.Replication != nil {
 			// Replicated full-image mode still needs epoch-qualified
 			// names: the server path just renamed a re-incarnated seq over
 			// its predecessor, but replicas of the superseded write linger
@@ -227,7 +227,7 @@ func (a *ckptAgent) capture(m mechanism.Mechanism, n *Node, p *proc.Process, tgt
 	// stays untouched until this full image supersedes it). A pipelined
 	// ship failure also forces one — the dropped tail left the published
 	// chain without its newest links, so the next image must stand alone.
-	rebase := a.acked%a.s.rebaseEvery() == 0 || a.forceRebase
+	rebase := a.acked%a.s.cfg.RebaseEvery == 0 || a.forceRebase
 	var trk checkpoint.Tracker
 	switch {
 	case a.trk == nil:
@@ -239,12 +239,12 @@ func (a *ckptAgent) capture(m mechanism.Mechanism, n *Node, p *proc.Process, tgt
 		// withholds dead pages (overwritten before ever being read)
 		// from the deltas it reports.
 		var inner checkpoint.Tracker = checkpoint.NewKernelWPTracker(n.K, p)
-		if spec := a.s.Policy.Spec(); spec.Liveness() {
+		if spec := a.s.policy.Spec(); spec.Liveness() {
 			inner = checkpoint.NewKernelLivenessTracker(n.K, p, spec.DeadStreak)
 		}
 		t := checkpoint.NewCarryTracker(inner)
 		if err := t.Arm(); err != nil {
-			a.s.Counters.Inc("agent.trk_failed", 1)
+			a.s.Counters().Inc("agent.trk_failed", 1)
 		} else {
 			a.trk = t
 			trk = t
@@ -284,14 +284,14 @@ func (s *Supervisor) noteAckObject(a *ckptAgent, obj string, full bool,
 	s.Checkpoints++
 	s.lastNode = a.node
 	s.lastLocal = false
-	s.Policy.ObserveCaptureCost(ckptDur)
-	s.lastProgressAt = s.C.Now()
-	s.Counters.Inc("ckpt.bytes_shipped", int64(encodedBytes))
+	s.policy.ObserveCaptureCost(ckptDur)
+	s.lastProgressAt = s.cfg.C.Now()
+	s.Counters().Inc("ckpt.bytes_shipped", int64(encodedBytes))
 	var retire []string
 	if !full {
-		s.Counters.Inc("ckpt.delta_acks", 1)
+		s.Counters().Inc("ckpt.delta_acks", 1)
 	} else {
-		s.Counters.Inc("ckpt.full_acks", 1)
+		s.Counters().Inc("ckpt.full_acks", 1)
 		// A full image supersedes the job's entire prior history: the
 		// previous chain and any fenced-off incarnation's leftovers are
 		// unreachable from the recovery pointer from here on — and only
@@ -309,14 +309,14 @@ func (s *Supervisor) noteAckObject(a *ckptAgent, obj string, full bool,
 	s.chainSizes[obj] = encodedBytes
 	s.lastLeaf = obj
 	s.emit(EvAck, a.node, a.epoch, obj)
-	if s.Incremental && len(retire) > 0 {
+	if s.cfg.Incremental && len(retire) > 0 {
 		// GC is about to unlink superseded objects a draining lazy
 		// session may still need for its deferred plan read: settle it
 		// first (no-op when no session is live).
 		s.settleLazy()
 		s.retire(a, tgt, retire, obj)
 	}
-	if s.Incremental && !full {
+	if s.cfg.Incremental && !full {
 		s.maybeCompact(a, tgt)
 	}
 }
@@ -335,7 +335,7 @@ func (s *Supervisor) retire(a *ckptAgent, tgt storage.Target, objs []string, kee
 	}
 	deleted, pending, err := storage.RetireChain(tgt, list)
 	for _, o := range deleted {
-		s.Counters.Inc("ckpt.retired", 1)
+		s.Counters().Inc("ckpt.retired", 1)
 		s.emit(EvRetire, a.node, a.epoch, o)
 	}
 	if err == nil {
@@ -344,11 +344,11 @@ func (s *Supervisor) retire(a *ckptAgent, tgt storage.Target, objs []string, kee
 	if errors.Is(err, storage.ErrFenced) {
 		// Superseded mid-sweep: the live incarnation owns the garbage
 		// list now; touching it further would race its chain.
-		s.Counters.Inc("fence.gc_rejected", 1)
+		s.Counters().Inc("fence.gc_rejected", 1)
 		return
 	}
 	// Transient storage trouble: keep the tail queued for the sweep
 	// after the next rebase.
-	s.Counters.Inc("ckpt.gc_deferred", 1)
+	s.Counters().Inc("ckpt.gc_deferred", 1)
 	s.pendingRetire = append(s.pendingRetire, pending...)
 }

@@ -109,7 +109,7 @@ func TestAutonomicCompactionBoundsChain(t *testing.T) {
 	if n := c.Counters.Get("restore.count"); int(n) != sup.Restarts {
 		t.Fatalf("restore.count = %d, want %d (one per restart)", n, sup.Restarts)
 	}
-	lat := sup.Metrics.Hist("restore.latency").Snapshot()
+	lat := sup.Metrics().Hist("restore.latency").Snapshot()
 	if lat.N != sup.Restarts {
 		t.Fatalf("restore.latency has %d observations, want %d", lat.N, sup.Restarts)
 	}
@@ -126,6 +126,11 @@ func TestRestoreRightAfterCompaction(t *testing.T) {
 	mon := detector.NewMonitor(c, detector.NewTimeout(2*simtime.Millisecond),
 		detector.Config{Period: 200 * simtime.Microsecond, Observer: 3}, c.Counters)
 
+	// Kill the job's node on the very next step after the first fold —
+	// the tightest window between GC of the old deltas and the restore
+	// that must now come from the folded image.
+	jobNode := 0
+	folded := false
 	sup := MustNewSupervisor(SupervisorConfig{
 		C:            c,
 		MkMech:       func() mechanism.Mechanism { return syslevel.NewCRAK() },
@@ -137,21 +142,15 @@ func TestRestoreRightAfterCompaction(t *testing.T) {
 		Incremental:  true,
 		RebaseEvery:  100,
 		CompactAfter: 2,
+		OnEvent: func(ev Event) {
+			if ev.Kind == EvAdmit {
+				jobNode = ev.Node
+			}
+			if ev.Kind == EvCompact {
+				folded = true
+			}
+		},
 	})
-
-	// Kill the job's node on the very next step after the first fold —
-	// the tightest window between GC of the old deltas and the restore
-	// that must now come from the folded image.
-	jobNode := 0
-	folded := false
-	sup.OnEvent = func(ev Event) {
-		if ev.Kind == EvAdmit {
-			jobNode = ev.Node
-		}
-		if ev.Kind == EvCompact {
-			folded = true
-		}
-	}
 	struck := false
 	c.OnStep(func() {
 		if folded && !struck {

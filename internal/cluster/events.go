@@ -92,9 +92,9 @@ func FormatEvents(evs []Event) string {
 
 // emit appends an event to the supervisor's log and notifies OnEvent.
 func (s *Supervisor) emit(kind EventKind, node int, epoch uint64, object string) {
-	ev := Event{At: s.C.Now(), Kind: kind, Node: node, Epoch: epoch, Object: object}
+	ev := Event{At: s.cfg.C.Now(), Kind: kind, Node: node, Epoch: epoch, Object: object}
 	s.Events = append(s.Events, ev)
-	if s.OnEvent != nil {
-		s.OnEvent(ev)
+	if s.cfg.OnEvent != nil {
+		s.cfg.OnEvent(ev)
 	}
 }

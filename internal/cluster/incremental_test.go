@@ -9,7 +9,6 @@ import (
 	"repro/internal/mechanism"
 	"repro/internal/policy"
 	"repro/internal/simtime"
-	"repro/internal/storage"
 	"repro/internal/syslevel"
 	"repro/internal/workload"
 )
@@ -111,6 +110,10 @@ func TestAgentCompactionAcrossRepeatedFailovers(t *testing.T) {
 	mon := detector.NewMonitor(c, detector.NewTimeout(2*simtime.Millisecond),
 		detector.Config{Period: 200 * simtime.Microsecond, Observer: 3}, c.Counters)
 
+	// Kill whichever node the job is on every 6ms (three times), rebooting
+	// it 2ms later so its orphaned agent gets reaped and spares never run
+	// out. Track the worst-case live-agent count the whole way.
+	jobNode := 0
 	sup := MustNewSupervisor(SupervisorConfig{
 		C:           c,
 		MkMech:      func() mechanism.Mechanism { return syslevel.NewCRAK() },
@@ -121,17 +124,12 @@ func TestAgentCompactionAcrossRepeatedFailovers(t *testing.T) {
 		ControlNode: 3,
 		Incremental: true,
 		RebaseEvery: 2,
+		OnEvent: func(ev Event) {
+			if ev.Kind == EvAdmit {
+				jobNode = ev.Node
+			}
+		},
 	})
-
-	// Kill whichever node the job is on every 6ms (three times), rebooting
-	// it 2ms later so its orphaned agent gets reaped and spares never run
-	// out. Track the worst-case live-agent count the whole way.
-	jobNode := 0
-	sup.OnEvent = func(ev Event) {
-		if ev.Kind == EvAdmit {
-			jobNode = ev.Node
-		}
-	}
 	fails := 0
 	var nextFail, rebootAt simtime.Time
 	nextFail = simtime.Time(6 * simtime.Millisecond)
@@ -189,18 +187,16 @@ func TestAdaptiveIntervalShrinksMidIncarnation(t *testing.T) {
 	}
 	workload.SetIterations(p, 1_000_000) // must outlive the test window
 
-	est := NewMTBFEstimator(20 * simtime.Millisecond)
 	sup := MustNewSupervisor(SupervisorConfig{
 		C:          c,
 		MkMech:     func() mechanism.Mechanism { return syslevel.NewCRAK() },
 		Prog:       prog,
 		Iterations: 1_000_000, // unused: agents are pumped directly, Run never starts
-		Policy:     policy.Spec{Strategy: policy.StrategyAdaptive, Interval: 5 * simtime.Millisecond},
-		Estimator:  est,
-		Counters:   c.Counters,
-		Fence:      storage.NewFenceDomain("job", c.Counters),
+		Policy: policy.Spec{Strategy: policy.StrategyAdaptive, Interval: 5 * simtime.Millisecond,
+			PriorMTBF: 20 * simtime.Millisecond},
 	})
-	epoch := sup.Fence.Advance()
+	est := sup.Policy().Estimator()
+	epoch := sup.Fence().Advance()
 	sup.armAgent(0, p.PID, epoch)
 	c.OnStep(sup.pumpAgents)
 	a := sup.agents[0]
@@ -245,6 +241,12 @@ func TestTornChainFallsBackToLastFull(t *testing.T) {
 	mon := detector.NewMonitor(c, detector.NewTimeout(2*simtime.Millisecond),
 		detector.Config{Period: 200 * simtime.Microsecond, Observer: 3}, c.Counters)
 
+	// Watch the acks: once the first incarnation has full + two deltas,
+	// delete the FIRST delta out from under the chain and kill the node.
+	var fullObj, victim string
+	deltas := 0
+	jobNode := 0
+	armed, struck := false, false
 	sup := MustNewSupervisor(SupervisorConfig{
 		C:           c,
 		MkMech:      func() mechanism.Mechanism { return syslevel.NewCRAK() },
@@ -255,33 +257,26 @@ func TestTornChainFallsBackToLastFull(t *testing.T) {
 		ControlNode: 3,
 		Incremental: true,
 		RebaseEvery: 100, // one full, then deltas only: no rebase resets the chain
+		OnEvent: func(ev Event) {
+			if ev.Kind == EvAdmit {
+				jobNode = ev.Node
+			}
+			if struck || ev.Kind != EvAck {
+				return
+			}
+			if fullObj == "" {
+				fullObj = ev.Object
+				return
+			}
+			deltas++
+			if victim == "" {
+				victim = ev.Object
+			}
+			if deltas >= 2 {
+				armed = true
+			}
+		},
 	})
-
-	// Watch the acks: once the first incarnation has full + two deltas,
-	// delete the FIRST delta out from under the chain and kill the node.
-	var fullObj, victim string
-	deltas := 0
-	jobNode := 0
-	armed, struck := false, false
-	sup.OnEvent = func(ev Event) {
-		if ev.Kind == EvAdmit {
-			jobNode = ev.Node
-		}
-		if struck || ev.Kind != EvAck {
-			return
-		}
-		if fullObj == "" {
-			fullObj = ev.Object
-			return
-		}
-		deltas++
-		if victim == "" {
-			victim = ev.Object
-		}
-		if deltas >= 2 {
-			armed = true
-		}
-	}
 	rem := c.Node(3).Remote()
 	c.OnStep(func() {
 		if armed && !struck {

@@ -1,4 +1,4 @@
-// Lazy failover: restart before read. With Supervisor.LazyRestore set,
+// Lazy failover: restart before read. With SupervisorConfig.LazyRestore set,
 // recoverFenced restores the job from the leaf image alone — registers,
 // layout, and the tracker's last dirty set — and returns control as soon
 // as those hot pages are applied. The rest of the chain materializes on
@@ -50,17 +50,13 @@ func (s *Supervisor) recoverLazy(src storage.Target, spare int, epoch uint64, ma
 	if s.lastLeaf == "" || src == nil || !src.Available() || n == 0 || manifest[n-1] != s.lastLeaf {
 		return nil, false, nil
 	}
-	m, err := s.mech(spare)
+	m, _, err := s.prepare(spare)
 	if err != nil {
 		return nil, false, err
 	}
 	lr, ok := m.(mechanism.LazyRestarter)
 	if !ok {
 		return nil, false, nil
-	}
-	prepared := m.Prepare(s.Prog)
-	if _, err := s.C.Node(spare).K.Registry.Lookup(prepared.Name()); err != nil {
-		s.C.Node(spare).K.Registry.MustRegister(prepared)
 	}
 
 	// Only the leaf is read on the critical path; its wait is the read
@@ -74,15 +70,15 @@ func (s *Supervisor) recoverLazy(src storage.Target, spare int, epoch uint64, ma
 	}
 	leaf, err := checkpoint.Decode(blob)
 	if err != nil {
-		s.Counters.Inc("ckpt.torn", 1)
+		s.Counters().Inc("ckpt.torn", 1)
 		return nil, false, nil
 	}
 
-	p, sess, err := lr.RestartLazy(s.C.Node(spare).K, leaf, checkpoint.LazyOptions{
-		RestoreOptions: checkpoint.RestoreOptions{Enqueue: true, Metrics: s.Metrics},
+	p, sess, err := lr.RestartLazy(s.cfg.C.Node(spare).K, leaf, checkpoint.LazyOptions{
+		RestoreOptions: checkpoint.RestoreOptions{Enqueue: true, Metrics: s.metrics},
 		Source:         src,
 		Ancestors:      manifest[:n-1],
-		Fenced:         func() bool { return s.Fence.Epoch() != epoch },
+		Fenced:         func() bool { return s.fence.Epoch() != epoch },
 	})
 	if err != nil {
 		if errors.Is(err, checkpoint.ErrNeedsChain) {
@@ -92,13 +88,11 @@ func (s *Supervisor) recoverLazy(src storage.Target, spare int, epoch uint64, ma
 	}
 
 	st := sess.Stats()
-	ttfi := leafWait + checkpoint.RestoreCost(st.HotBytes, s.restoreWorkers())
-	if s.Metrics != nil {
-		s.Metrics.Hist("restore.first_instr_latency").Observe(float64(ttfi.Millis()))
-		s.Metrics.Hist("restore.chain_len").Observe(float64(n))
-	}
-	s.Counters.Inc("restore.count", 1)
-	s.Counters.Inc("restore.lazy", 1)
+	ttfi := leafWait + checkpoint.RestoreCost(st.HotBytes, s.cfg.RestoreWorkers)
+	s.metrics.Hist("restore.first_instr_latency").Observe(float64(ttfi.Millis()))
+	s.metrics.Hist("restore.chain_len").Observe(float64(n))
+	s.Counters().Inc("restore.count", 1)
+	s.Counters().Inc("restore.lazy", 1)
 	s.emit(EvRestore, spare, epoch, s.lastLeaf+" lazy")
 	s.lazy = &lazyRun{sess: sess, epoch: epoch, leafWait: leafWait, chainLen: n}
 	return p, true, nil
@@ -112,7 +106,7 @@ func (s *Supervisor) pumpLazy() {
 	if s.lazy == nil {
 		return
 	}
-	if s.Fence != nil && s.Fence.Epoch() != s.lazy.epoch {
+	if s.fence.Epoch() != s.lazy.epoch {
 		s.failLazy(nil)
 		return
 	}
@@ -151,12 +145,9 @@ func (s *Supervisor) finishLazy() {
 	s.lazy = nil
 	st := lr.sess.Stats()
 	lr.sess.Close()
-	if s.Metrics != nil {
-		lat := lr.leafWait + st.PlanWait +
-			checkpoint.RestoreCost(st.PlanBytes, s.restoreWorkers())
-		s.Metrics.Hist("restore.latency").Observe(float64(lat.Millis()))
-	}
-	s.Counters.Inc("restore.deltas_replayed", int64(lr.chainLen-1))
+	lat := lr.leafWait + st.PlanWait + checkpoint.RestoreCost(st.PlanBytes, s.cfg.RestoreWorkers)
+	s.metrics.Hist("restore.latency").Observe(float64(lat.Millis()))
+	s.Counters().Inc("restore.deltas_replayed", int64(lr.chainLen-1))
 }
 
 // failLazy poisons the live session: every later access of a
@@ -167,5 +158,5 @@ func (s *Supervisor) failLazy(err error) {
 	lr := s.lazy
 	s.lazy = nil
 	lr.sess.Abort(err)
-	s.Counters.Inc("restore.lazy_aborted", 1)
+	s.Counters().Inc("restore.lazy_aborted", 1)
 }

@@ -18,7 +18,7 @@ import (
 
 // lazySupervisor builds the standard 4-node autonomic topology with the
 // restart-before-read failover path enabled.
-func lazySupervisor(t *testing.T, c *Cluster, prog workload.Sparse, iters uint64, workers int) *Supervisor {
+func lazySupervisor(t *testing.T, c *Cluster, prog workload.Sparse, iters uint64, workers int, onEvent func(Event)) *Supervisor {
 	t.Helper()
 	mon := detector.NewMonitor(c, detector.NewTimeout(2*simtime.Millisecond),
 		detector.Config{Period: 200 * simtime.Microsecond, Observer: 3}, c.Counters)
@@ -34,6 +34,7 @@ func lazySupervisor(t *testing.T, c *Cluster, prog workload.Sparse, iters uint64
 		RebaseEvery:    8,
 		RestoreWorkers: workers,
 		LazyRestore:    true,
+		OnEvent:        onEvent,
 	})
 }
 
@@ -49,18 +50,16 @@ func TestLazyFailoverEndToEnd(t *testing.T) {
 	want := referenceFingerprint(t, prog, 60)
 
 	c := newCluster(t, 4, prog)
-	sup := lazySupervisor(t, c, prog, 60, 4)
-
 	jobNode := 0
 	acks := 0
-	sup.OnEvent = func(ev Event) {
+	sup := lazySupervisor(t, c, prog, 60, 4, func(ev Event) {
 		switch ev.Kind {
 		case EvAdmit:
 			jobNode = ev.Node
 		case EvAck:
 			acks++
 		}
-	}
+	})
 	failed := false
 	c.OnStep(func() {
 		if !failed && acks >= 3 {
@@ -103,11 +102,11 @@ func TestLazyFailoverEndToEnd(t *testing.T) {
 	// Single-observation contract: one restore.latency sample per
 	// restart, whichever path served it, and one TTFI sample per lazy
 	// restore — with TTFI at most the full-restore latency.
-	lat := sup.Metrics.Hist("restore.latency").Snapshot()
+	lat := sup.Metrics().Hist("restore.latency").Snapshot()
 	if lat.N != sup.Restarts {
 		t.Fatalf("restore.latency has %d observations, want %d (one per restart)", lat.N, sup.Restarts)
 	}
-	ttfi := sup.Metrics.Hist("restore.first_instr_latency").Snapshot()
+	ttfi := sup.Metrics().Hist("restore.first_instr_latency").Snapshot()
 	if int64(ttfi.N) != lazyRestores {
 		t.Fatalf("restore.first_instr_latency has %d observations, want %d", ttfi.N, lazyRestores)
 	}
@@ -132,6 +131,8 @@ func TestLazyVsEagerFingerprintAcrossWorkers(t *testing.T) {
 			c := newClusterSeed(t, 4, 52, prog)
 			mon := detector.NewMonitor(c, detector.NewTimeout(2*simtime.Millisecond),
 				detector.Config{Period: 200 * simtime.Microsecond, Observer: 3}, c.Counters)
+			jobNode := 0
+			acks := 0
 			sup := MustNewSupervisor(SupervisorConfig{
 				C:              c,
 				MkMech:         func() mechanism.Mechanism { return syslevel.NewCRAK() },
@@ -144,17 +145,15 @@ func TestLazyVsEagerFingerprintAcrossWorkers(t *testing.T) {
 				RebaseEvery:    8,
 				RestoreWorkers: workers,
 				LazyRestore:    lazy,
+				OnEvent: func(ev Event) {
+					switch ev.Kind {
+					case EvAdmit:
+						jobNode = ev.Node
+					case EvAck:
+						acks++
+					}
+				},
 			})
-			jobNode := 0
-			acks := 0
-			sup.OnEvent = func(ev Event) {
-				switch ev.Kind {
-				case EvAdmit:
-					jobNode = ev.Node
-				case EvAck:
-					acks++
-				}
-			}
 			failed := false
 			c.OnStep(func() {
 				if !failed && acks >= 3 {
@@ -193,6 +192,9 @@ func TestLazyMidRestoreNodeFailure(t *testing.T) {
 	c := newCluster(t, 4, prog)
 	mon := detector.NewMonitor(c, detector.NewTimeout(600*simtime.Microsecond),
 		detector.Config{Period: 100 * simtime.Microsecond, Observer: 3}, c.Counters)
+	jobNode := 0
+	acks := 0
+	struck := false
 	sup := MustNewSupervisor(SupervisorConfig{
 		C:              c,
 		MkMech:         func() mechanism.Mechanism { return syslevel.NewCRAK() },
@@ -205,27 +207,23 @@ func TestLazyMidRestoreNodeFailure(t *testing.T) {
 		RebaseEvery:    8,
 		RestoreWorkers: 4,
 		LazyRestore:    true,
-	})
-
-	jobNode := 0
-	acks := 0
-	struck := false
-	sup.OnEvent = func(ev Event) {
-		switch ev.Kind {
-		case EvAdmit:
-			jobNode = ev.Node
-		case EvAck:
-			acks++
-		case EvRestore:
-			// Strike the restored node the instant the lazy restore is
-			// announced: the session has drained nothing yet, so the next
-			// failover supersedes it mid-restore.
-			if strings.HasSuffix(ev.Object, " lazy") && !struck {
-				struck = true
-				c.Fail(ev.Node)
+		OnEvent: func(ev Event) {
+			switch ev.Kind {
+			case EvAdmit:
+				jobNode = ev.Node
+			case EvAck:
+				acks++
+			case EvRestore:
+				// Strike the restored node the instant the lazy restore is
+				// announced: the session has drained nothing yet, so the next
+				// failover supersedes it mid-restore.
+				if strings.HasSuffix(ev.Object, " lazy") && !struck {
+					struck = true
+					c.Fail(ev.Node)
+				}
 			}
-		}
-	}
+		},
+	})
 	failed := false
 	c.OnStep(func() {
 		if !failed && acks >= 3 {
@@ -253,7 +251,7 @@ func TestLazyMidRestoreNodeFailure(t *testing.T) {
 	}
 	// Every restart still records exactly one restore.latency sample —
 	// aborted sessions record none (their restore never finished).
-	lat := sup.Metrics.Hist("restore.latency").Snapshot()
+	lat := sup.Metrics().Hist("restore.latency").Snapshot()
 	aborted := int(c.Counters.Get("restore.lazy_aborted"))
 	if lat.N != sup.Restarts-aborted {
 		t.Fatalf("restore.latency has %d observations, want %d (restarts %d - aborted %d)",
@@ -324,7 +322,7 @@ func TestRecoveryRefreshesManifestAfterConcurrentCompaction(t *testing.T) {
 		}
 	}
 
-	s := &Supervisor{Counters: trace.NewCounters()}
+	s := &Supervisor{metrics: trace.NewMetrics(), fence: storage.NewFenceDomain("job", nil)}
 	s.lastLeaf = leaf.ObjectName()
 	s.lastFull = full.ObjectName()
 	s.chainObjs = append([]string(nil), objs...)
@@ -349,15 +347,15 @@ func TestRecoveryRefreshesManifestAfterConcurrentCompaction(t *testing.T) {
 	chain, _ := s.loadRecoveryChain(src, stale)
 	if chain == nil {
 		t.Fatalf("recovery found nothing — stale manifest won over the live fold (counters:\n%s)",
-			s.Counters)
+			s.Counters())
 	}
 	if len(chain) != 1 || chain[0].Mode != checkpoint.ModeFull {
 		t.Fatalf("recovered a %d-link chain (head %v), want the 1-link fold", len(chain), chain[0].Mode)
 	}
-	if n := s.Counters.Get("restore.manifest_refresh"); n != 1 {
-		t.Fatalf("restore.manifest_refresh = %d, want 1 (counters:\n%s)", n, s.Counters)
+	if n := s.Counters().Get("restore.manifest_refresh"); n != 1 {
+		t.Fatalf("restore.manifest_refresh = %d, want 1 (counters:\n%s)", n, s.Counters())
 	}
-	if n := s.Counters.Get("ckpt.chain_fallback"); n != 0 {
+	if n := s.Counters().Get("ckpt.chain_fallback"); n != 0 {
 		t.Fatalf("ckpt.chain_fallback = %d: recovery rewound to lastFull despite a loadable live chain", n)
 	}
 }

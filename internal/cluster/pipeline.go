@@ -31,8 +31,8 @@ import (
 	"repro/internal/storage"
 )
 
-// PipelineConfig tunes the pipelined shipping path; Supervisor.Pipeline
-// non-nil turns it on. The zero value of each field means its default.
+// PipelineConfig tunes the pipelined shipping path; a non-nil
+// SupervisorConfig.Pipeline turns it on. The zero value of each field means its default.
 type PipelineConfig struct {
 	// MaxInFlight bounds the ship queue (transferring + waiting units).
 	// A capture round that finds the queue full is skipped and counted
@@ -143,12 +143,12 @@ func (a *ckptAgent) queuedImages() int {
 // memory, encode on the node, enqueue for shipping. No storage I/O
 // happens here — that is advanceShip's job on later pumps.
 func (a *ckptAgent) pipelineRound(m mechanism.Mechanism, n *Node, p *proc.Process) {
-	pc := a.s.Pipeline
+	pc := a.s.cfg.Pipeline
 	if len(a.ship) >= pc.maxInFlight() {
 		// Backpressure: the wire is behind. Skip the round rather than
 		// buffer without bound; the dirty tracker keeps accumulating, so
 		// the next delta ships a superset and nothing is lost.
-		a.s.Counters.Inc("pipe.stalls", 1)
+		a.s.Counters().Inc("pipe.stalls", 1)
 		return
 	}
 	workers := pc.captureWorkers()
@@ -157,7 +157,7 @@ func (a *ckptAgent) pipelineRound(m mechanism.Mechanism, n *Node, p *proc.Proces
 	}
 	tk, err := a.capture(m, n, p, nil) // nil target: image stays in memory
 	if err != nil {
-		a.s.Counters.Inc("agent.ckpt_failed", 1)
+		a.s.Counters().Inc("agent.ckpt_failed", 1)
 		return
 	}
 	a.acked++
@@ -172,7 +172,7 @@ func (a *ckptAgent) pipelineRound(m mechanism.Mechanism, n *Node, p *proc.Proces
 	}
 	data, err := tk.Img.EncodeParallelBytes(workers)
 	if err != nil {
-		a.s.Counters.Inc("agent.ckpt_failed", 1)
+		a.s.Counters().Inc("agent.ckpt_failed", 1)
 		return
 	}
 	n.K.Charge(checkpoint.EncodeCost(len(data), workers), "encode")
@@ -181,7 +181,7 @@ func (a *ckptAgent) pipelineRound(m mechanism.Mechanism, n *Node, p *proc.Proces
 		parent:     tk.Img.Parent,
 		data:       data,
 		full:       full,
-		capturedAt: a.s.C.Now(),
+		capturedAt: a.s.cfg.C.Now(),
 		captureDur: tk.Total(),
 	})
 }
@@ -189,11 +189,11 @@ func (a *ckptAgent) pipelineRound(m mechanism.Mechanism, n *Node, p *proc.Proces
 // enqueueShip appends the image to the ship queue, merging it into the
 // tail unit when the batching rule allows.
 func (a *ckptAgent) enqueueShip(si shipImage) {
-	if bb := a.s.Pipeline.batchBytes(); bb > 0 && len(a.ship) > 0 && !si.full {
+	if bb := a.s.cfg.Pipeline.batchBytes(); bb > 0 && len(a.ship) > 0 && !si.full {
 		u := a.ship[len(a.ship)-1]
 		if !u.started && !u.hasFull() && u.bytes()+len(si.data) <= bb {
 			u.imgs = append(u.imgs, si)
-			a.s.Counters.Inc("pipe.batched", 1)
+			a.s.Counters().Inc("pipe.batched", 1)
 			return
 		}
 	}
@@ -205,7 +205,7 @@ func (a *ckptAgent) enqueueShip(si shipImage) {
 // completion, publish and ack. One unit transfers at a time — the node
 // has one NIC.
 func (a *ckptAgent) advanceShip(n *Node) {
-	c := a.s.C
+	c := a.s.cfg.C
 	for len(a.ship) > 0 {
 		u := a.ship[0]
 		if !u.started {
@@ -243,20 +243,18 @@ func (a *ckptAgent) publishUnit(n *Node, u *shipUnit) bool {
 		}
 		published, err = storage.WriteBatch(tgt, items, nil)
 	}
-	now := s.C.Now()
+	now := s.cfg.C.Now()
 	for i := range u.imgs[:published] {
 		si := &u.imgs[i]
-		s.Counters.Inc("pipe.shipped", 1)
-		if s.Metrics != nil {
-			s.Metrics.Hist("pipe.publish_latency").Observe(float64(now.Sub(si.capturedAt)))
-		}
-		if a.epoch == s.Fence.Epoch() {
+		s.Counters().Inc("pipe.shipped", 1)
+		s.metrics.Hist("pipe.publish_latency").Observe(float64(now.Sub(si.capturedAt)))
+		if a.epoch == s.fence.Epoch() {
 			s.noteAckObject(a, si.obj, si.full, len(si.data), si.captureDur, tgt)
 		} else {
 			// Fencing disabled and we are stale: the publish landed — a
 			// split-brain double commit, same bookkeeping as the
 			// synchronous path.
-			s.Counters.Inc("fence.double_commits", 1)
+			s.Counters().Inc("fence.double_commits", 1)
 			s.emit(EvStaleCommit, a.node, a.epoch, si.obj)
 		}
 	}
@@ -280,13 +278,13 @@ func (a *ckptAgent) publishUnit(n *Node, u *shipUnit) bool {
 	// chains (directly or transitively) onto the one that failed, so none
 	// of them can ever satisfy the durable-parent rule: drop them all and
 	// make the next capture a full image that re-anchors the chain.
-	s.Counters.Inc("agent.ship_failed", 1)
+	s.Counters().Inc("agent.ship_failed", 1)
 	dropped := len(u.imgs) - published
 	for _, rest := range a.ship[1:] {
 		dropped += len(rest.imgs)
 	}
 	if dropped > 0 {
-		s.Counters.Inc("pipe.dropped", int64(dropped))
+		s.Counters().Inc("pipe.dropped", int64(dropped))
 	}
 	a.ship = nil
 	a.forceRebase = true

@@ -76,7 +76,7 @@ func TestPipelinedAutonomicFailoverAndAckDurability(t *testing.T) {
 	if n := c.Counters.Get("pipe.shipped"); n == 0 {
 		t.Fatal("pipelined run shipped nothing through the pipe")
 	}
-	if snap := sup.Metrics.Hist("pipe.publish_latency").Snapshot(); snap.N == 0 {
+	if snap := sup.Metrics().Hist("pipe.publish_latency").Snapshot(); snap.N == 0 {
 		t.Fatal("no publish-latency observations recorded")
 	} else if snap.P99 < snap.P50 || snap.P50 <= 0 {
 		t.Fatalf("degenerate publish-latency distribution: %s", snap)
@@ -112,12 +112,10 @@ func TestPipelinedShipFailureDropsChainAndRebases(t *testing.T) {
 		Detector:    mon,
 		ControlNode: 1,
 		Incremental: true,
-		RebaseEvery: 100, // one full, then deltas only — until the failure forces a rebase
-		Counters:    c.Counters,
-		Fence:       storage.NewFenceDomain("job", c.Counters),
+		RebaseEvery: 100,                             // one full, then deltas only — until the failure forces a rebase
 		Pipeline:    &PipelineConfig{BatchBytes: -1}, // one unit per image: the drop math is exact
 	})
-	epoch := sup.Fence.Advance()
+	epoch := sup.Fence().Advance()
 	sup.armAgent(0, p.PID, epoch)
 	c.OnStep(sup.pumpAgents)
 

@@ -35,7 +35,7 @@ func TestPolicyTelemetrySingleObservation(t *testing.T) {
 		t.Fatal("job did not complete")
 	}
 
-	failures := sup.Estimator.Failures()
+	failures := sup.Policy().Estimator().Failures()
 	if failures == 0 {
 		t.Fatal("injector produced no failures; the audit needs observation events")
 	}
@@ -43,10 +43,10 @@ func TestPolicyTelemetrySingleObservation(t *testing.T) {
 		t.Fatal("no checkpoints were taken")
 	}
 
-	ivN := sup.Metrics.Hist("policy.interval").N()
-	if ivN != sup.Policy.Recomputes() {
+	ivN := sup.Metrics().Hist("policy.interval").N()
+	if ivN != sup.Policy().Recomputes() {
 		t.Errorf("policy.interval observations = %d, want one per recompute (%d)",
-			ivN, sup.Policy.Recomputes())
+			ivN, sup.Policy().Recomputes())
 	}
 	if ivN == 0 {
 		t.Error("policy.interval never observed despite failures and captures")
@@ -59,18 +59,18 @@ func TestPolicyTelemetrySingleObservation(t *testing.T) {
 			ivN, failures, sup.Checkpoints)
 	}
 
-	if wlN := sup.Metrics.Hist("policy.work_lost").N(); wlN != failures {
+	if wlN := sup.Metrics().Hist("policy.work_lost").N(); wlN != failures {
 		t.Errorf("policy.work_lost observations = %d, want one per failure (%d)", wlN, failures)
 	}
 
-	if got := c.Counters.Get("policy.recompute"); got != int64(sup.Policy.Recomputes()) {
-		t.Errorf("policy.recompute counter = %d, want %d", got, sup.Policy.Recomputes())
+	if got := c.Counters.Get("policy.recompute"); got != int64(sup.Policy().Recomputes()) {
+		t.Errorf("policy.recompute counter = %d, want %d", got, sup.Policy().Recomputes())
 	}
 
 	// The cadence actually moved off the base once failures were
 	// measured: MTBF here (~15ms) with ms-scale capture costs puts the
 	// Young optimum well below the 5ms base.
-	if sup.Policy.Interval() == sup.Policy.Base() && sup.Policy.Recomputes() > 0 && failures > 1 {
-		t.Logf("note: live cadence %v still at base after %d recomputes", sup.Policy.Interval(), sup.Policy.Recomputes())
+	if sup.Policy().Interval() == sup.Policy().Base() && sup.Policy().Recomputes() > 0 && failures > 1 {
+		t.Logf("note: live cadence %v still at base after %d recomputes", sup.Policy().Interval(), sup.Policy().Recomputes())
 	}
 }

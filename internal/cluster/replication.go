@@ -159,13 +159,13 @@ type replState struct {
 // ones as a last resort — erasure geometries need their exact slot count
 // even when the cluster is degraded.
 func (s *Supervisor) buddyCandidates(owner int) []int {
-	dom := s.Replication.failureDomain()
+	dom := s.cfg.Replication.failureDomain()
 	var crossUp, sameUp, crossDown, sameDown []int
-	for i := 0; i < s.C.NumNodes(); i++ {
-		if i == owner || i == s.ControlNode {
+	for i := 0; i < s.cfg.C.NumNodes(); i++ {
+		if i == owner || i == s.cfg.ControlNode {
 			continue
 		}
-		suspected := s.Detector != nil && s.Detector.Suspected(i)
+		suspected := s.cfg.Detector != nil && s.cfg.Detector.Suspected(i)
 		cross := dom(i) != dom(owner)
 		switch {
 		case cross && !suspected:
@@ -185,7 +185,7 @@ func (s *Supervisor) buddyCandidates(owner int) []int {
 
 // placementFor computes the slot set for a job owned by owner.
 func (s *Supervisor) placementFor(owner int) []replSlot {
-	rc := s.Replication
+	rc := s.cfg.Replication
 	if rc.Mode == ReplErasure {
 		n := rc.dataShards() + rc.parityShards()
 		slots := make([]replSlot, 0, n)
@@ -231,11 +231,11 @@ func (s *Supervisor) ensurePlacement(owner int) {
 func (s *Supervisor) slotTarget(sl replSlot, from int) storage.Target {
 	switch {
 	case sl.node < 0:
-		return s.C.Node(from).Remote()
+		return s.cfg.C.Node(from).Remote()
 	case sl.node == from:
-		return s.C.Node(sl.node).Disk
+		return s.cfg.C.Node(sl.node).Disk
 	default:
-		return storage.OverWire(s.C.Node(sl.node).Disk, s.C.CM)
+		return storage.OverWire(s.cfg.C.Node(sl.node).Disk, s.cfg.C.CM)
 	}
 }
 
@@ -244,19 +244,19 @@ func (s *Supervisor) slotTarget(sl replSlot, from int) storage.Target {
 // stale-epoch writer is rejected at every replica's commit point — the
 // fence contract's replicated form.
 func (s *Supervisor) buildReplicated(slots []replSlot, from int, epoch uint64, fenced bool) (*storage.Replicated, error) {
-	rc := s.Replication
+	rc := s.cfg.Replication
 	reps := make([]storage.Replica, len(slots))
 	for i, sl := range slots {
 		t := s.slotTarget(sl, from)
 		if fenced {
-			t = storage.FencedAt(t, s.Fence, epoch)
+			t = storage.FencedAt(t, s.fence, epoch)
 		}
 		reps[i] = storage.Replica{T: t, Role: sl.role}
 	}
 	cfg := storage.ReplicatedConfig{
 		Quorum:   rc.WriteQuorum,
-		Counters: s.Counters,
-		Metrics:  s.Metrics,
+		Counters: s.Counters(),
+		Metrics:  s.metrics,
 	}
 	if rc.Mode == ReplErasure {
 		cfg.DataShards = rc.dataShards()
@@ -271,20 +271,20 @@ func (s *Supervisor) buildReplicated(slots []replSlot, from int, epoch uint64, f
 // pump and the pipelined publishUnit go through here.
 func (s *Supervisor) shipTarget(a *ckptAgent) storage.Target {
 	fence := func(t storage.Target) storage.Target {
-		if s.NoFencing {
+		if s.cfg.NoFencing {
 			return t
 		}
-		return storage.FencedAt(t, s.Fence, a.epoch)
+		return storage.FencedAt(t, s.fence, a.epoch)
 	}
-	if s.Replication == nil {
-		return fence(s.C.Node(a.node).Remote())
+	if s.cfg.Replication == nil {
+		return fence(s.cfg.C.Node(a.node).Remote())
 	}
 	s.ensurePlacement(a.node)
-	r, err := s.buildReplicated(s.repl.slots, a.node, a.epoch, !s.NoFencing)
+	r, err := s.buildReplicated(s.repl.slots, a.node, a.epoch, !s.cfg.NoFencing)
 	if err != nil {
 		// Geometry was validated at construction; this is unreachable, but
 		// degrading to the server path beats dropping the checkpoint.
-		return fence(s.C.Node(a.node).Remote())
+		return fence(s.cfg.C.Node(a.node).Remote())
 	}
 	return r
 }
@@ -297,10 +297,10 @@ func (s *Supervisor) shipTarget(a *ckptAgent) storage.Target {
 // re-anchors placement at the spare. Reads are unfenced (the fence guards
 // mutations); a mirror set needs any one survivor, an erasure set any k.
 func (s *Supervisor) recoveryTarget(spare int) storage.Target {
-	if s.Replication == nil || s.repl == nil || len(s.repl.slots) == 0 {
-		return s.C.Node(spare).Remote()
+	if s.cfg.Replication == nil || s.repl == nil || len(s.repl.slots) == 0 {
+		return s.cfg.C.Node(spare).Remote()
 	}
-	rc := s.Replication
+	rc := s.cfg.Replication
 	if rc.Mode == ReplErasure {
 		// Slot order is shard identity: never reorder.
 		reps := make([]storage.Replica, len(s.repl.slots))
@@ -309,31 +309,31 @@ func (s *Supervisor) recoveryTarget(spare int) storage.Target {
 		}
 		r, err := storage.NewReplicated("repl-restore", reps, storage.ReplicatedConfig{
 			Quorum: rc.dataShards(), DataShards: rc.dataShards(), ParityShards: rc.parityShards(),
-			Counters: s.Counters, Metrics: s.Metrics,
+			Counters: s.Counters(), Metrics: s.metrics,
 		})
 		if err != nil {
-			return s.C.Node(spare).Remote()
+			return s.cfg.C.Node(spare).Remote()
 		}
 		return r
 	}
 	var reps []storage.Replica
 	for _, sl := range s.repl.slots {
 		if sl.node == spare {
-			reps = append(reps, storage.Replica{T: s.C.Node(spare).Disk, Role: storage.RoleLocal})
+			reps = append(reps, storage.Replica{T: s.cfg.C.Node(spare).Disk, Role: storage.RoleLocal})
 		}
 	}
 	for _, sl := range s.repl.slots {
 		if sl.node >= 0 && sl.node != spare {
 			reps = append(reps, storage.Replica{
-				T: storage.OverWire(s.C.Node(sl.node).Disk, s.C.CM), Role: storage.RoleBuddy})
+				T: storage.OverWire(s.cfg.C.Node(sl.node).Disk, s.cfg.C.CM), Role: storage.RoleBuddy})
 		}
 	}
-	reps = append(reps, storage.Replica{T: s.C.Node(spare).Remote(), Role: storage.RoleRemote})
+	reps = append(reps, storage.Replica{T: s.cfg.C.Node(spare).Remote(), Role: storage.RoleRemote})
 	r, err := storage.NewReplicated("repl-restore", reps, storage.ReplicatedConfig{
-		Quorum: 1, Counters: s.Counters, Metrics: s.Metrics,
+		Quorum: 1, Counters: s.Counters(), Metrics: s.metrics,
 	})
 	if err != nil {
-		return s.C.Node(spare).Remote()
+		return s.cfg.C.Node(spare).Remote()
 	}
 	return r
 }
@@ -344,22 +344,22 @@ func (s *Supervisor) recoveryTarget(spare int) storage.Target {
 // buddy scheme's whole read-side payoff). Otherwise, and as the
 // fallback, the detector picks any unsuspected node.
 func (s *Supervisor) pickRestoreNode(failed int) int {
-	if s.Replication != nil && s.repl != nil {
+	if s.cfg.Replication != nil && s.repl != nil {
 		for _, sl := range s.repl.slots {
-			if sl.node < 0 || sl.node == failed || sl.node == s.ControlNode {
+			if sl.node < 0 || sl.node == failed || sl.node == s.cfg.ControlNode {
 				continue
 			}
-			if !s.Detector.Suspected(sl.node) {
+			if !s.cfg.Detector.Suspected(sl.node) {
 				return sl.node
 			}
 		}
 	}
-	return s.Detector.PickHealthy(failed)
+	return s.cfg.Detector.PickHealthy(failed)
 }
 
 // repairCadence is how often the background re-replication sweep runs.
 func (s *Supervisor) repairCadence() simtime.Duration {
-	d := s.Policy.Base() / 4
+	d := s.policy.Base() / 4
 	if d < simtime.Millisecond {
 		d = simtime.Millisecond
 	}
@@ -375,10 +375,10 @@ func (s *Supervisor) repairCadence() simtime.Duration {
 // a superseded incarnation. Like compaction, the sweep is modeled as
 // off-critical-path background I/O: it charges no agent time.
 func (s *Supervisor) maybeRepair() {
-	if s.Replication == nil || s.repl == nil || len(s.agents) == 0 {
+	if s.cfg.Replication == nil || s.repl == nil || len(s.agents) == 0 {
 		return
 	}
-	now := s.C.Now()
+	now := s.cfg.C.Now()
 	if now < s.repl.nextRepairAt {
 		return
 	}
@@ -391,10 +391,10 @@ func (s *Supervisor) maybeRepair() {
 // completion reach every replica slot before anyone audits (or reuses)
 // the placement.
 func (s *Supervisor) flushRepair() {
-	if s.Replication == nil || s.repl == nil {
+	if s.cfg.Replication == nil || s.repl == nil {
 		return
 	}
-	s.repairSweep(s.C.Now())
+	s.repairSweep(s.cfg.C.Now())
 }
 
 // repairSweep is one pass of the re-replication loop: reassign slots
@@ -405,7 +405,7 @@ func (s *Supervisor) repairSweep(now simtime.Time) {
 	if len(s.chainObjs) == 0 {
 		return
 	}
-	r, err := s.buildReplicated(s.repl.slots, s.repl.owner, s.Fence.Epoch(), !s.NoFencing)
+	r, err := s.buildReplicated(s.repl.slots, s.repl.owner, s.fence.Epoch(), !s.cfg.NoFencing)
 	if err != nil {
 		return
 	}
@@ -421,12 +421,12 @@ func (s *Supervisor) repairSweep(now simtime.Time) {
 			if errors.Is(rerr, storage.ErrNotFound) {
 				continue // retired or compacted out from under the sweep
 			}
-			s.Counters.Inc("repl.repair_failed", 1)
+			s.Counters().Inc("repl.repair_failed", 1)
 			break
 		}
 	}
 	if repaired > 0 {
-		s.emit(EvRepair, s.repl.owner, s.Fence.Epoch(), fmt.Sprintf("%d", repaired))
+		s.emit(EvRepair, s.repl.owner, s.fence.Epoch(), fmt.Sprintf("%d", repaired))
 	}
 }
 
@@ -462,13 +462,13 @@ func (s *Supervisor) objectDegraded(r *storage.Replicated, obj string, want int)
 // is never reassigned here; owner death is a failover, which recomputes
 // the whole placement.
 func (s *Supervisor) reassignDeadSlots(now simtime.Time) {
-	after := s.Replication.repairAfter(s.Policy.Base())
+	after := s.cfg.Replication.repairAfter(s.policy.Base())
 	for i := range s.repl.slots {
 		sl := &s.repl.slots[i]
 		if sl.node < 0 || sl.node == s.repl.owner {
 			continue
 		}
-		if !s.Detector.Suspected(sl.node) {
+		if !s.cfg.Detector.Suspected(sl.node) {
 			delete(s.repl.downSince, sl.node)
 			continue
 		}
@@ -487,8 +487,8 @@ func (s *Supervisor) reassignDeadSlots(now simtime.Time) {
 		old := sl.node
 		sl.node = next
 		delete(s.repl.downSince, old)
-		s.Counters.Inc("repl.rebuddy", 1)
-		s.emit(EvRebuddy, next, s.Fence.Epoch(), fmt.Sprintf("slot=%d from=%d", i, old))
+		s.Counters().Inc("repl.rebuddy", 1)
+		s.emit(EvRebuddy, next, s.fence.Epoch(), fmt.Sprintf("slot=%d from=%d", i, old))
 	}
 }
 
@@ -502,7 +502,7 @@ func (s *Supervisor) pickReplacement() int {
 		}
 	}
 	for _, cand := range s.buddyCandidates(s.repl.owner) {
-		if !inUse[cand] && !s.Detector.Suspected(cand) {
+		if !inUse[cand] && !s.cfg.Detector.Suspected(cand) {
 			return cand
 		}
 	}
@@ -511,10 +511,10 @@ func (s *Supervisor) pickReplacement() int {
 
 // ReplicationMode returns the active mode, or "" without replication.
 func (s *Supervisor) ReplicationMode() ReplicationMode {
-	if s.Replication == nil {
+	if s.cfg.Replication == nil {
 		return ""
 	}
-	return s.Replication.Mode
+	return s.cfg.Replication.Mode
 }
 
 // ReplicaPlacement returns the current slot-to-node assignment (-1 is
@@ -534,10 +534,10 @@ func (s *Supervisor) ReplicaPlacement() []int {
 // ReplicationGeometry returns the erasure geometry (0,0 for buddy mode
 // or no replication).
 func (s *Supervisor) ReplicationGeometry() (k, m int) {
-	if s.Replication == nil || s.Replication.Mode != ReplErasure {
+	if s.cfg.Replication == nil || s.cfg.Replication.Mode != ReplErasure {
 		return 0, 0
 	}
-	return s.Replication.dataShards(), s.Replication.parityShards()
+	return s.cfg.Replication.dataShards(), s.cfg.Replication.parityShards()
 }
 
 // ChainObjects returns a copy of the live chain's acked object names,

@@ -304,8 +304,7 @@ func TestPipelineStaleQueueDropAccounting(t *testing.T) {
 		ControlNode: 1,
 		Pipeline:    &PipelineConfig{},
 	})
-	sup.Fence = storage.NewFenceDomain("job", c.Counters)
-	epoch := sup.Fence.Advance()
+	epoch := sup.Fence().Advance()
 	a := &ckptAgent{s: sup, node: 0, pid: 1, epoch: epoch}
 	a.ship = []*shipUnit{
 		{imgs: []shipImage{{obj: "u1-a", data: []byte("aa")}, {obj: "u1-b", data: []byte("bb")}}},
@@ -314,7 +313,7 @@ func TestPipelineStaleQueueDropAccounting(t *testing.T) {
 	// Supersede the agent, then let it try to drain: the first publish
 	// hits the fence, the agent self-fences, and all three queued images
 	// must be dropped — not shipped, not double-counted.
-	sup.Fence.Advance()
+	sup.Fence().Advance()
 	a.advanceShip(c.Node(0))
 	c.RunFor(simtime.Second) // the transfer completes on cluster time
 	a.advanceShip(c.Node(0))

@@ -1,10 +1,26 @@
 package experiments
 
 import (
+	"os"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+// checkGolden compares a rendered table byte for byte with its pinned
+// copy in testdata. E11 and E12 are the only experiments that drive the
+// oracle supervisor loop, so these goldens are what hold that loop's
+// simulated behaviour still.
+func checkGolden(t *testing.T, name string, got string) {
+	t.Helper()
+	want, err := os.ReadFile("testdata/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s drifted from testdata/%s:\n--- got ---\n%s\n--- want ---\n%s", name, name, got, want)
+	}
+}
 
 // Experiments are exercised with small parameters; shape assertions mirror
 // EXPERIMENTS.md (who wins, by roughly what factor).
@@ -252,6 +268,7 @@ func TestE11StorageFaultsContrast(t *testing.T) {
 	if tb.Cell(1, 7) == "0" && tb.Cell(1, 8) == "0" && tb.Cell(1, 9) == "0" {
 		t.Fatalf("unsafe commit produced no torn/lost images — no contrast:\n%s", tb)
 	}
+	checkGolden(t, "e11.golden", tb.String())
 }
 
 func TestE10Runs(t *testing.T) {
@@ -312,6 +329,7 @@ func TestE12PhiUnderLossIsSafeAndFalsePositiveRecoveryCompletes(t *testing.T) {
 	if tb.Cell(oracle, 8) != "0" || tb.Cell(oracle, 6) != tb.Cell(find("oracle", "loss 5%"), 6) {
 		t.Fatalf("oracle baseline affected by control-plane faults:\n%s", tb)
 	}
+	checkGolden(t, "e12.golden", tb.String())
 }
 
 // TestE12DeterministicReplay runs the E12 autonomic scenario twice with

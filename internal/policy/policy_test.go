@@ -193,10 +193,10 @@ func TestMTBFEstimatorConvergence(t *testing.T) {
 }
 
 func TestEngineRequiresBaseInterval(t *testing.T) {
-	if _, err := NewEngine(Spec{Strategy: StrategyYoungDaly}, nil, nil); !errors.Is(err, ErrNonPositiveInterval) {
+	if _, err := NewEngine(Spec{Strategy: StrategyYoungDaly}, nil); !errors.Is(err, ErrNonPositiveInterval) {
 		t.Errorf("no base interval: %v", err)
 	}
-	if _, err := NewEngine(Spec{Strategy: "often", Interval: simtime.Millisecond}, nil, nil); !errors.Is(err, ErrUnknownStrategy) {
+	if _, err := NewEngine(Spec{Strategy: "often", Interval: simtime.Millisecond}, nil); !errors.Is(err, ErrUnknownStrategy) {
 		t.Errorf("bad strategy: %v", err)
 	}
 }
@@ -208,7 +208,7 @@ func TestEngineRequiresBaseInterval(t *testing.T) {
 func TestEngineEventDriven(t *testing.T) {
 	ms := simtime.Millisecond
 	m := trace.NewMetrics()
-	eng, err := NewEngine(YoungDaly(16*ms), nil, m)
+	eng, err := NewEngine(YoungDaly(16*ms), m)
 	if err != nil {
 		t.Fatal(err)
 	}

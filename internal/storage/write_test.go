@@ -28,6 +28,18 @@ func TestWriteDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Zero options on a plain target: the legacy in-place write, straight
+	// to the final name with no staging object.
+	if err := Write(l, "p", []byte("p"), WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.ObjectSize("p"); err != nil {
+		t.Fatalf("in-place write missing: %v", err)
+	}
+	if _, err := l.ObjectSize(StagingName("p")); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("in-place write staged: %v", err)
+	}
+
 	// Unsafe wrapper forces the in-place path regardless of options.
 	u := Unsafe(l)
 	if err := Write(u, "c", []byte("cc"), WriteOptions{Atomic: true}); err != nil {
@@ -39,29 +51,6 @@ func TestWriteDispatch(t *testing.T) {
 
 	if err := Write(nil, "x", nil, WriteOptions{}); err == nil {
 		t.Fatal("Write to nil target succeeded")
-	}
-}
-
-// TestDeprecatedWrappers pins the legacy entry points to the unified
-// implementation: same staging discipline, same chain rule.
-func TestDeprecatedWrappers(t *testing.T) {
-	l := NewLocal("d", costmodel.Default2005(), nil)
-	if err := Put(l, "p", []byte("p"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := PutAtomic(l, "pa", []byte("pa"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := PutChained(l, "pc", "pa", []byte("pc"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := PutChained(l, "bad", "nope", []byte("x"), nil); !errors.Is(err, ErrBrokenChain) {
-		t.Fatalf("PutChained missing parent: %v", err)
-	}
-	for _, o := range []string{"p", "pa", "pc"} {
-		if _, err := l.ObjectSize(o); err != nil {
-			t.Errorf("%s not stored: %v", o, err)
-		}
 	}
 }
 

@@ -270,8 +270,11 @@ func NewCluster(n int, seed int64, reg *Registry) *Cluster {
 		costmodel.Default2005(), reg)
 }
 
-// NewSupervisor validates cfg, applies defaults (estimator, retry
-// policy, rebase cadence, metrics), and returns a ready Supervisor.
+// NewSupervisor validates cfg, applies its defaults (rebase cadence,
+// restore width), and returns a ready Supervisor that keeps the config
+// as its only copy of every setting. The policy engine, metrics and
+// fence domain it builds are read through accessors; OnEvent is set in
+// the config.
 func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) { return cluster.NewSupervisor(cfg) }
 
 // MustNewSupervisor is NewSupervisor that panics on a config error — for
