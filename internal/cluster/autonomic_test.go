@@ -195,3 +195,36 @@ func TestAutonomicPhiUnderLossAndRealFailures(t *testing.T) {
 		t.Fatal("real failures occurred but none was detected")
 	}
 }
+
+// A relaunched supervisor — Run called again on the same Supervisor, as
+// the chaos executor does after an abort — must keep exactly one agent
+// pump on the cluster's step hooks. Registering per Run made k relaunches
+// pump every agent k+1 times per step, multiplying pipelined shipping,
+// the lazy prefetch drain and the repair sweep.
+func TestRelaunchKeepsOneStepHook(t *testing.T) {
+	prog := workload.Sparse{MiB: 1, WriteFrac: 0.2, Seed: 31}
+	c := newCluster(t, 4, prog)
+	mon := detector.NewMonitor(c, detector.NewTimeout(2*simtime.Millisecond),
+		detector.Config{Period: 200 * simtime.Microsecond, Observer: 3}, c.Counters)
+	sup := MustNewSupervisor(SupervisorConfig{
+		C:           c,
+		MkMech:      func() mechanism.Mechanism { return syslevel.NewCRAK() },
+		Prog:        prog,
+		Iterations:  1_000_000, // outlives both budgets: every Run returns on its deadline
+		Policy:      policy.Fixed(simtime.Millisecond),
+		Detector:    mon,
+		ControlNode: 3,
+	})
+	if err := sup.Run(3 * simtime.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	hooks := len(c.stepHooks)
+	for i := 0; i < 2; i++ {
+		if err := sup.Run(3 * simtime.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(c.stepHooks); got != hooks {
+			t.Fatalf("relaunch %d: %d step hooks, want %d (the agent pump registered again)", i+1, got, hooks)
+		}
+	}
+}
